@@ -202,17 +202,6 @@ def _unpack_job(shm: shared_memory.SharedMemory):
 # ---------------------------------------------------------------------------
 
 
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        # The resource tracker would otherwise try to unlink the (already
-        # parent-unlinked) segment at worker exit and log spurious leaks.
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # pragma: no cover - tracker internals vary by version
-        pass
-    return shm
-
-
 def _worker_main(tasks, results) -> None:
     os.environ[_WORKER_ENV] = "1"
     # Forked workers inherit the parent's context: drop any active tracer
@@ -245,7 +234,7 @@ def _worker_main(tasks, results) -> None:
                     job_shm.close()
                 except BufferError:  # pragma: no cover - lingering array views
                     pass
-            job_shm = _attach_shm(shm_name)
+            job_shm = shared_memory.SharedMemory(name=shm_name)
             spec, shared_kwargs = _unpack_job(job_shm)
             job_id = msg_job
             jobs_seen += 1
@@ -307,6 +296,13 @@ class SweepPool:
     def _ensure_workers(self) -> int:
         """Start (or replace dead) workers; returns how many were spawned."""
         alive = [p for p in self._procs if p.is_alive()]
+        if len(alive) < self.workers:
+            # Workers must share the parent's resource tracker: attaching a
+            # segment registers it there (a no-op for a name the parent
+            # already holds), and the parent's unlink retires it.  A worker
+            # that started its own tracker would unlink the segment at exit
+            # and report it as leaked.
+            resource_tracker.ensure_running()
         spawned = 0
         while len(alive) < self.workers:
             proc = self._ctx.Process(

@@ -482,6 +482,8 @@ def _cmd_gateway_bench(args) -> int:
                 "quota_denied",
                 "shard_restarts",
                 "failovers",
+                "batches",
+                "batched_requests",
             )
         )
     )

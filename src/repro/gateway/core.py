@@ -14,11 +14,12 @@ deps) that:
 * **meters** tenants through token buckets (``X-Tenant`` header, default
   tenant otherwise); an empty bucket is also a ``429``, with the bucket's
   own refill time as ``Retry-After``;
-* **batches** compatible no-deadline requests per shard inside a small
-  window, draining them through the shard's
+* **batches** the no-deadline requests that reach a shard in the same
+  event-loop iteration, draining them through the shard's
   :meth:`~repro.serve.SolverService.submit_batch` so concurrent cache
-  misses become one cross-instance batched solve.  Deadline-bearing
-  requests bypass the batcher (their budget must not pay the window).
+  misses become one cross-instance batched solve.  There is no timer: a
+  lone request ships on the next iteration.  Deadline-bearing requests
+  bypass the batcher and go straight to the shard's ``solve`` op.
 
 Wire format is ``repro-wire/1`` end to end: the request body is
 ``SolveRequest.to_wire()``, the response wraps ``SolveResult.to_wire()``
@@ -26,8 +27,9 @@ together with the serving shard's index.  With ``store_dir`` set, each
 shard mounts a durable :class:`repro.store.ResultStore` at
 ``<store_dir>/shard-NN`` so its cache survives restarts (see
 ``docs/STORE.md``).  Counters
-``gateway.admitted/rejected/sharded/quota_denied`` flow into the ambient
-:mod:`repro.obs` tracer.  See ``docs/GATEWAY.md``.
+``gateway.admitted/rejected/sharded/quota_denied/batches/batched_requests``
+flow into the ambient :mod:`repro.obs` tracer and ``/v1/stats``.  See
+``docs/GATEWAY.md``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ _COUNTERS = (
     "shard_restarts",
     "failovers",
     "ring_moves",
+    "batches",
+    "batched_requests",
 )
 
 
@@ -69,41 +73,49 @@ def _retry_after_headers(seconds: float) -> Dict[str, str]:
 
 
 class _ShardBatcher:
-    """Per-shard micro-batcher: queue for one window, drain as one batch."""
+    """Per-shard same-tick batcher: one loop iteration's arrivals ship as one op.
 
-    def __init__(self, shard, window_ms: float, batch_max: int):
+    The first request queued in an event-loop iteration opens a batch and
+    starts its flush task, whose first step runs on the next iteration:
+    everything that arrived meanwhile (a ``gather``, a burst of sockets
+    read in one selector pass) ships as one ``batch`` op, and a lone
+    request ships as a plain ``solve`` one iteration later, with no timer.
+    A batch that reaches ``batch_max`` closes at once; later arrivals open
+    the next one.  ``count`` is the gateway's counter hook
+    (``batches``/``batched_requests``).
+    """
+
+    def __init__(self, shard, batch_max: int, count):
         self._shard = shard
-        self._window_s = max(0.0, window_ms) / 1e3
         self._batch_max = max(1, batch_max)
-        self._queue: List[Tuple[Dict[str, Any], "asyncio.Future"]] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        self._count = count
+        self._open: Optional[List[Tuple[Dict[str, Any], "asyncio.Future"]]] = None
 
     async def submit(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Enqueue one wire request doc; resolves to its wire result doc."""
-        fut: "asyncio.Future[Dict[str, Any]]" = asyncio.get_event_loop().create_future()
-        self._queue.append((doc, fut))
-        if len(self._queue) >= self._batch_max:
-            self._flush_now()
-        elif self._flush_handle is None:
-            self._flush_handle = asyncio.get_event_loop().call_later(
-                self._window_s, self._flush_now
-            )
+        loop = asyncio.get_running_loop()
+        fut: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+        if self._open is None:
+            self._open = []
+            loop.create_task(self._flush(self._open))
+        self._open.append((doc, fut))
+        if len(self._open) >= self._batch_max:
+            self._open = None
         return await fut
 
-    def _flush_now(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch, self._queue = self._queue, []
-        if batch:
-            asyncio.ensure_future(self._drain(batch))
-
-    async def _drain(self, batch) -> None:
+    async def _flush(self, batch) -> None:
+        # A task's first step is scheduled with ``loop.call_soon``: this runs
+        # on the next iteration and calls the shard in that same step, one
+        # iteration sooner than a callback that spawned the call would.
+        if self._open is batch:
+            self._open = None
         try:
             if len(batch) == 1:
                 reply = await self._shard.call("solve", request=batch[0][0])
                 results = [reply["result"]]
             else:
+                self._count("batches")
+                self._count("batched_requests", len(batch))
                 reply = await self._shard.call(
                     "batch", requests=[doc for doc, _ in batch]
                 )
@@ -129,7 +141,8 @@ class Gateway:
     admission, with ``saturation_retry_after_s`` as the backoff hint a
     saturated shard's 429 carries (the quota path computes its hint from
     the bucket's refill time; both format through one helper);
-    ``batch_window_ms``/``batch_max`` tune micro-batching.
+    ``batch_max`` caps how many same-iteration requests ship as one
+    ``batch`` op.
 
     ``store_dir`` mounts a durable result store under each shard: shard
     ``i`` opens a :class:`repro.store.ResultStore` at
@@ -152,7 +165,6 @@ class Gateway:
         max_inflight_per_shard: int = 64,
         quota_rate: Optional[float] = None,
         quota_burst: Optional[float] = None,
-        batch_window_ms: float = 5.0,
         batch_max: int = 16,
         saturation_retry_after_s: float = 1.0,
         routing: str = "mod",
@@ -202,7 +214,6 @@ class Gateway:
         self._failover_retry_after_s = failover_retry_after_s
         quota_kwargs = {} if clock is None else {"clock": clock}
         self._quota = QuotaManager(quota_rate, quota_burst, **quota_kwargs)
-        self._batch_window_ms = batch_window_ms
         self._batch_max = batch_max
         if shard_factory is None:
             kwargs = dict(service_kwargs or {})
@@ -244,9 +255,7 @@ class Gateway:
             shard = self._shard_factory(index)
             await shard.start()
             self._shards.append(shard)
-            self._batchers.append(
-                _ShardBatcher(shard, self._batch_window_ms, self._batch_max)
-            )
+            self._batchers.append(_ShardBatcher(shard, self._batch_max, self._count))
             self._inflight.append(0)
             self._down.append(False)
             self._generation.append(0)
@@ -318,7 +327,7 @@ class Gateway:
         The old shard is stopped best-effort (it may already be a
         corpse); the replacement comes from the same factory that built
         it — including its ``store_path``, so a store-backed shard
-        prewarms from disk.  The batcher is rebound so queued windows
+        prewarms from disk.  The batcher is rebound so later requests
         drain into the new worker.
         """
         old = self._shards[index]
@@ -329,9 +338,7 @@ class Gateway:
         shard = self._shard_factory(index)
         await shard.start()
         self._shards[index] = shard
-        self._batchers[index] = _ShardBatcher(
-            shard, self._batch_window_ms, self._batch_max
-        )
+        self._batchers[index] = _ShardBatcher(shard, self._batch_max, self._count)
         self._generation[index] += 1
 
     async def _await_recovery(self, index: int, generation: Optional[int] = None) -> bool:
@@ -413,9 +420,7 @@ class Gateway:
             shard = self._shard_factory(index)
             await shard.start()
             self._shards.append(shard)
-            self._batchers.append(
-                _ShardBatcher(shard, self._batch_window_ms, self._batch_max)
-            )
+            self._batchers.append(_ShardBatcher(shard, self._batch_max, self._count))
             self._inflight.append(0)
             self._down.append(False)
             self._generation.append(0)

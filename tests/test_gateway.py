@@ -128,12 +128,30 @@ class TestTokenBucket:
 # ---------------------------------------------------------------------------
 
 
+class _RecordingShard:
+    """A stub shard that records every call and answers canned results."""
+
+    def __init__(self):
+        self.calls = []
+
+    async def start(self):
+        pass
+
+    async def stop(self):
+        pass
+
+    async def call(self, op, **payload):
+        self.calls.append((op, payload))
+        if op == "batch":
+            return {"results": [{"stub": i} for i in range(len(payload["requests"]))]}
+        return {"result": {"stub": 0}}
+
+
+
 class TestGatewayInline:
     def test_solve_routes_to_hashed_shard_and_hits_cache(self):
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 outcomes = []
                 for req in _requests(6):
@@ -168,7 +186,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=1,
                 shard_factory=_inline_factory(workers=2),
-                batch_window_ms=50.0,
                 batch_max=64,
             )
             async with gateway:
@@ -181,13 +198,114 @@ class TestGatewayInline:
 
         results, stats = _run(scenario())
         assert all(status == 200 for status, _, _ in results)
-        # All four arrived inside one window: the shard saw them as one
+        # All four arrived in one loop iteration: the shard saw them as one
         # submit_batch and drained the misses through a batched solve.
         assert stats["fleet"]["batched"] == 4
+        assert stats["gateway"]["batches"] == 1
+        assert stats["gateway"]["batched_requests"] == 4
         for status, payload, _ in results:
             assert SolveResult.from_wire(payload["result"]).metrics.get(
                 "served.batched"
             )
+
+    def test_lone_request_reaches_shard_without_waiting(self):
+        """A lone no-deadline request ships on the next loop iteration.
+        (Regression: a 5 ms micro-batch timer used to hold every request,
+        cache hits included, before it reached the shard.)"""
+
+        async def scenario():
+            shard = _RecordingShard()
+            gateway = Gateway(
+                shards=1, shard_factory=lambda index: shard, supervise=False
+            )
+            async with gateway:
+                task = asyncio.ensure_future(
+                    gateway.handle_solve(_requests(1)[0].to_wire())
+                )
+                for _ in range(2):
+                    await asyncio.sleep(0)
+                seen = [op for op, _ in shard.calls]
+                status, payload, _ = await task
+            return seen, status, payload, dict(gateway.counters)
+
+        seen, status, payload, counters = _run(scenario())
+        assert seen == ["solve"]
+        assert status == 200 and payload["result"] == {"stub": 0}
+        assert counters["batches"] == 0
+        assert counters["batched_requests"] == 0
+
+    def test_same_tick_requests_ship_as_one_batch(self):
+        docs = [r.to_wire() for r in _requests(4, seed=310)]
+
+        async def scenario():
+            shard = _RecordingShard()
+            gateway = Gateway(
+                shards=1, shard_factory=lambda index: shard, supervise=False
+            )
+            async with gateway:
+                results = await asyncio.gather(
+                    *(gateway.handle_solve(doc) for doc in docs)
+                )
+            return shard.calls, results, dict(gateway.counters)
+
+        calls, results, counters = _run(scenario())
+        assert [op for op, _ in calls] == ["batch"]
+        assert calls[0][1]["requests"] == docs
+        # Each reply finds its own request's result.
+        assert [payload["result"] for _, payload, _ in results] == [
+            {"stub": i} for i in range(4)
+        ]
+        assert counters["batches"] == 1
+        assert counters["batched_requests"] == 4
+
+    def test_full_batch_ships_and_later_arrivals_open_the_next(self):
+        async def scenario():
+            shard = _RecordingShard()
+            gateway = Gateway(
+                shards=1,
+                shard_factory=lambda index: shard,
+                supervise=False,
+                batch_max=2,
+            )
+            async with gateway:
+                await asyncio.gather(
+                    *(gateway.handle_solve(r.to_wire()) for r in _requests(5))
+                )
+            return shard.calls, dict(gateway.counters)
+
+        calls, counters = _run(scenario())
+        sizes = [
+            len(payload["requests"]) if op == "batch" else 1 for op, payload in calls
+        ]
+        assert sizes == [2, 2, 1]
+        assert counters["batches"] == 2
+        assert counters["batched_requests"] == 4
+
+    def test_deadline_request_bypasses_the_batcher(self):
+        timed = SolveRequest(jobs=random_jobs(8, seed=320), k=1, deadline_ms=500)
+        plain = [r.to_wire() for r in _requests(2, seed=330)]
+
+        async def scenario():
+            shard = _RecordingShard()
+            gateway = Gateway(
+                shards=1, shard_factory=lambda index: shard, supervise=False
+            )
+            async with gateway:
+                await asyncio.gather(
+                    gateway.handle_solve(plain[0]),
+                    gateway.handle_solve(timed.to_wire()),
+                    gateway.handle_solve(plain[1]),
+                )
+            return shard.calls, dict(gateway.counters)
+
+        calls, counters = _run(scenario())
+        # The deadline request went straight to ``solve``; the two
+        # same-tick plain requests still shipped together.
+        assert [op for op, _ in calls] == ["solve", "batch"]
+        assert calls[0][1]["request"] == timed.to_wire()
+        assert calls[1][1]["requests"] == plain
+        assert counters["batches"] == 1
+        assert counters["batched_requests"] == 2
 
     def test_quota_denial_is_429_with_retry_after(self):
         async def scenario():
@@ -195,7 +313,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=2,
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
                 quota_rate=1.0,
                 quota_burst=2,
                 clock=lambda: now[0],
@@ -249,7 +366,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=1,
                 shard_factory=lambda index: stuck,
-                batch_window_ms=0.0,
                 max_inflight_per_shard=1,
             )
             async with gateway:
@@ -296,7 +412,6 @@ class TestGatewayInline:
             gateway = Gateway(
                 shards=1,
                 shard_factory=lambda index: stuck,
-                batch_window_ms=0.0,
                 max_inflight_per_shard=1,
                 saturation_retry_after_s=3.2,
             )
@@ -345,7 +460,6 @@ class TestGatewayInline:
             quota_gw = Gateway(
                 shards=1,
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
                 quota_rate=0.5,
                 quota_burst=1,
                 clock=lambda: now[0],
@@ -361,7 +475,6 @@ class TestGatewayInline:
             sat_gw = Gateway(
                 shards=1,
                 shard_factory=lambda index: stuck,
-                batch_window_ms=0.0,
                 max_inflight_per_shard=1,
                 saturation_retry_after_s=2.5,
             )
@@ -388,9 +501,7 @@ class TestGatewayInline:
 
     def test_bad_wire_document_is_400(self):
         async def scenario():
-            gateway = Gateway(
-                shards=1, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
             async with gateway:
                 return [
                     await gateway.handle_solve({"format": "nope"}),
@@ -403,9 +514,7 @@ class TestGatewayInline:
 
     def test_shard_side_validation_error_maps_to_400(self):
         async def scenario():
-            gateway = Gateway(
-                shards=1, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
             async with gateway:
                 doc = _requests(1)[0].to_wire()
                 doc["k"] = 10**6  # passes SolveRequest, fails solver-side cap
@@ -416,9 +525,7 @@ class TestGatewayInline:
 
     def test_http_surface_end_to_end(self):
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 host, port = "127.0.0.1", gateway.port
                 req = _requests(1)[0]
@@ -472,9 +579,7 @@ class TestGatewayInline:
 class TestGatewayProcessFleet:
     def test_two_process_shards_end_to_end(self):
         async def scenario():
-            gateway = Gateway(
-                shards=2, service_kwargs={"workers": 1}, batch_window_ms=2.0
-            )
+            gateway = Gateway(shards=2, service_kwargs={"workers": 1})
             async with gateway:
                 host, port = "127.0.0.1", gateway.port
                 reqs = _requests(4, seed=500)
@@ -600,7 +705,6 @@ class TestRingRouting:
                 shards=3,
                 routing="ring",
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
             )
             async with gateway:
                 answers = []
@@ -630,7 +734,6 @@ class TestRingRouting:
                 shards=2,
                 routing="ring",
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
             )
             async with gateway:
                 before = [await gateway.handle_solve(r.to_wire()) for r in reqs]
@@ -660,9 +763,7 @@ class TestRingRouting:
         reqs = _requests(4, seed=320)
 
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 report = await gateway.reshard(3)
                 answers = [await gateway.handle_solve(r.to_wire()) for r in reqs]
@@ -683,7 +784,6 @@ class TestRingRouting:
                 shards=3,
                 routing="ring",
                 shard_factory=_inline_factory(),
-                batch_window_ms=0.0,
             )
             async with gateway:
                 report = await gateway.reshard(2)
@@ -734,7 +834,6 @@ class TestSupervisor:
             gateway = Gateway(
                 shards=2,
                 shard_factory=lambda index: _MortalShard(workers=1),
-                batch_window_ms=0.0,
                 supervisor_kwargs=_FAST_SUPERVISOR,
             )
             async with gateway:
@@ -781,7 +880,6 @@ class TestSupervisor:
             gateway = Gateway(
                 shards=2,
                 shard_factory=factory,
-                batch_window_ms=0.0,
                 supervisor_kwargs=dict(_FAST_SUPERVISOR, max_restart_attempts=2),
                 failover_retry_s=0.2,
                 failover_retry_after_s=2.5,
@@ -818,9 +916,7 @@ class TestConnectionPool:
         }
 
         async def scenario():
-            gateway = Gateway(
-                shards=2, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=2, shard_factory=_inline_factory())
             async with gateway:
                 pool = ConnectionPool("127.0.0.1", gateway.port, max_idle=4)
 
@@ -850,9 +946,7 @@ class TestConnectionPool:
         req = _requests(1, seed=460)[0]
 
         async def scenario():
-            gateway = Gateway(
-                shards=1, shard_factory=_inline_factory(), batch_window_ms=0.0
-            )
+            gateway = Gateway(shards=1, shard_factory=_inline_factory())
             async with gateway:
                 pool = ConnectionPool("127.0.0.1", gateway.port)
                 first = await pool.request("POST", "/v1/solve", req.to_wire())

@@ -17,6 +17,8 @@ The pool's contract has three legs, and each gets direct coverage here:
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,3 +270,40 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="shut-down"):
             pool.run_job(_metric_cell, [{"n": 1}], 1, 0)
         pool.shutdown()  # idempotent
+
+
+# ---------------------------------------------------------------------------
+# resource tracker hygiene
+# ---------------------------------------------------------------------------
+
+
+def test_pool_lifetimes_leave_the_resource_tracker_quiet():
+    """Two pool lifetimes, one sweep each, print no tracker noise.
+
+    (Regression: workers shared the parent's resource tracker but
+    unregistered each job segment there, so the parent's own unlink made
+    the tracker raise ``KeyError``; a worker that started its own tracker
+    would report the segment as leaked instead.)
+    """
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "from repro.analysis.config import CELL_REGISTRY\n"
+        "from repro.analysis.pool import shutdown_pools\n"
+        "from repro.analysis.sweep import Sweep, run_sweep\n"
+        "for _ in range(2):\n"
+        "    run_sweep(Sweep(axes={'n': [20, 30]}), CELL_REGISTRY['bas_loss_random'],\n"
+        "              seed=0, workers=2)\n"
+        "    shutdown_pools()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "KeyError" not in proc.stderr
+    assert "leaked shared_memory" not in proc.stderr
