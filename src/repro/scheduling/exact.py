@@ -36,7 +36,6 @@ from repro.scheduling.edf import edf_feasible, edf_feasible_cached, edf_schedule
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.segment import Segment, drop_zero_length, merge_touching
-from repro.utils.compat import take_deprecated_positional
 from repro.utils.numeric import is_exact
 
 
@@ -272,8 +271,8 @@ def _require_integral(jobs: JobSet) -> None:
 
 def k_feasible_subset_small(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     max_slots: int = 40,
 ) -> Optional[Schedule]:
     """Decide whether *all* given jobs fit in a k-preemptive schedule.
@@ -285,11 +284,7 @@ def k_feasible_subset_small(
 
     Exponential — intended for instances with horizon ≤ ``max_slots`` and a
     handful of jobs, as an oracle for tests and micro-benchmarks.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("k_feasible_subset_small", "k", args, k)
     _require_integral(jobs)
     ordered = sorted(jobs, key=lambda j: (j.release, j.id))
     if not ordered:
@@ -360,8 +355,8 @@ def k_feasible_subset_small(
 
 def opt_k_exact_small(
     jobs: JobSet,
-    *args,
-    k: Optional[int] = None,
+    *,
+    k: int,
     max_slots: int = 40,
     max_jobs: int = 10,
 ) -> Schedule:
@@ -371,11 +366,7 @@ def opt_k_exact_small(
     bound) and certifies each candidate with the unit-slot feasibility DFS.
     Used by the tests to sandwich the pipeline (``ALG_k <= OPT_k <= OPT_∞``)
     and by the k = 0 experiments on the geometric chain.
-
-    ``k`` is keyword-only; the legacy positional form still works but emits
-    a :class:`DeprecationWarning`.
     """
-    k = take_deprecated_positional("opt_k_exact_small", "k", args, k)
     _require_integral(jobs)
     if jobs.n > max_jobs:
         raise ValueError(f"opt_k_exact_small limited to {max_jobs} jobs, got {jobs.n}")

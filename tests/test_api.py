@@ -1,5 +1,5 @@
 """The `repro.api` facade: surface snapshot, behaviour, and the
-deprecation shims on the signatures it standardises.
+keyword-only signatures it standardises.
 
 The signature snapshot is deliberately literal — the facade's stability is
 the point, so any drift in exported names, parameter names, kinds or
@@ -13,10 +13,21 @@ import pytest
 import repro
 import repro.api as api
 from repro.api import METHODS, SolveResult, price_of_bounded_preemption, solve_k_bounded
+from repro.core.lsa import lsa, lsa_cs
+from repro.core.multimachine import (
+    iterated_assignment,
+    multimachine_k_bounded,
+    multimachine_nonpreemptive,
+    multimachine_opt_infty,
+    reduce_multimachine_schedule,
+)
 from repro.core.pricing import PriceMeasurement
 from repro.instances import random_jobs, random_lax_jobs
 from repro.obs import MemorySink, Tracer
+from repro.scheduling.edf import edf_accept_max_subset
+from repro.scheduling.exact import k_feasible_subset_small, opt_k_exact_small
 from repro.scheduling.job import JobSet
+from repro.serve import SolverService
 
 
 # ---------------------------------------------------------------------------
@@ -217,50 +228,53 @@ def test_opt_infty_value_matches_schedule():
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims on the standardised signatures
+# the standardised signatures: keyword-only, one request spelling
 # ---------------------------------------------------------------------------
 
 
-def test_legacy_positional_forms_warn_but_work():
-    from repro.core.lsa import lsa, lsa_cs
-    from repro.core.multimachine import (
-        multimachine_k_bounded,
-        multimachine_nonpreemptive,
-    )
-    from repro.scheduling.exact import opt_k_exact_small
+#: The call forms 2.0 removed: ``label -> call(jobs, lax_jobs, service)``.
+_REMOVED_SPELLINGS = {
+    "k_feasible_subset_small": lambda js, lx, svc: k_feasible_subset_small(js, 2),
+    "opt_k_exact_small": lambda js, lx, svc: opt_k_exact_small(js, 1),
+    "lsa": lambda js, lx, svc: lsa(lx, 2),
+    "lsa_cs": lambda js, lx, svc: lsa_cs(lx, 2),
+    "multimachine_k_bounded": lambda js, lx, svc: multimachine_k_bounded(js, 1, 2),
+    "multimachine_nonpreemptive": lambda js, lx, svc: multimachine_nonpreemptive(js, 2),
+    "multimachine_opt_infty": lambda js, lx, svc: multimachine_opt_infty(js, 2),
+    "iterated_assignment": lambda js, lx, svc: iterated_assignment(
+        js, 2, edf_accept_max_subset
+    ),
+    "reduce_multimachine_schedule": lambda js, lx, svc: reduce_multimachine_schedule(
+        multimachine_opt_infty(js, machines=2), 1
+    ),
+    "SolverService.submit": lambda js, lx, svc: svc.submit(js, 2),
+    "SolverService.solve": lambda js, lx, svc: svc.solve(js, 2),
+    "SolverService.submit_batch": lambda js, lx, svc: svc.submit_batch([(js, 2)]),
+}
 
+
+@pytest.mark.parametrize(
+    "call", list(_REMOVED_SPELLINGS.values()), ids=list(_REMOVED_SPELLINGS)
+)
+def test_removed_spellings_raise_type_error(call):
     lax = random_lax_jobs(10, k=2, seed=1)
     jobs = random_jobs(8, seed=2)
+    with SolverService(workers=1) as svc:
+        with pytest.raises(TypeError):
+            call(jobs, lax, svc)
+        assert svc.stats()["requests"] == 0
 
-    with pytest.warns(DeprecationWarning):
-        legacy = lsa(lax, 2)
-    assert legacy.value == lsa(lax, k=2).value
 
-    with pytest.warns(DeprecationWarning):
-        legacy = lsa_cs(lax, 2)
-    assert legacy.value == lsa_cs(lax, k=2).value
-
-    with pytest.warns(DeprecationWarning):
-        legacy = multimachine_k_bounded(jobs, 1, 2)
-    assert legacy.value == multimachine_k_bounded(jobs, k=1, machines=2).value
-
-    with pytest.warns(DeprecationWarning):
-        legacy = multimachine_nonpreemptive(jobs, 2)
-    assert legacy.value == multimachine_nonpreemptive(jobs, machines=2).value
-
-    small = repro.make_jobs(
-        [(0, 10, 4, 5.0), (1, 6, 3, 4.0), (2, 9, 2, 2.0)]
-    )  # opt_k_exact_small needs integer coordinates
-    with pytest.warns(DeprecationWarning):
-        legacy = opt_k_exact_small(small, 1)
-    assert legacy.value == opt_k_exact_small(small, k=1).value
+def test_missing_required_keyword_raises():
+    jobs = random_jobs(8, seed=2)
+    with pytest.raises(TypeError):
+        opt_k_exact_small(jobs)
+    with pytest.raises(TypeError):
+        multimachine_k_bounded(jobs)
 
 
 def test_keyword_forms_do_not_warn(recwarn):
     import warnings
-
-    from repro.core.lsa import lsa_cs
-    from repro.core.multimachine import multimachine_k_bounded
 
     lax = random_lax_jobs(10, k=2, seed=1)
     jobs = random_jobs(8, seed=2)

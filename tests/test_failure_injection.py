@@ -132,26 +132,28 @@ class TestServeFaultInjection:
         assert "serve.drop_cache_entry" in KNOWN_FAULTS
 
     def test_cache_wipe_degrades_but_never_crashes(self):
-        from repro.api import solve_k_bounded
+        from repro.api import SolveRequest, solve_k_bounded
         from repro.instances import random_jobs
         from repro.serve import SolverService
         from repro.utils import faults
 
-        corpus = [(random_jobs(8, seed=40 + i), 1 + i % 2) for i in range(4)]
-        expected = {i: solve_k_bounded(jobs, k).value for i, (jobs, k) in enumerate(corpus)}
+        corpus = [
+            SolveRequest(jobs=random_jobs(8, seed=40 + i), k=1 + i % 2) for i in range(4)
+        ]
+        expected = {i: solve_k_bounded(req.jobs, req.k).value for i, req in enumerate(corpus)}
 
         with SolverService(workers=2) as svc:
             with faults.inject("serve.drop_cache_entry"):
                 for _round in range(3):
-                    for i, (jobs, k) in enumerate(corpus):
-                        result = svc.solve(jobs, k, timeout=60)
+                    for i, req in enumerate(corpus):
+                        result = svc.solve(req, timeout=60)
                         assert result.value == expected[i]
                 armed = svc.stats()
             # Fault disarmed: the next pass repopulates and then hits.
-            for i, (jobs, k) in enumerate(corpus):
-                assert svc.solve(jobs, k, timeout=60).value == expected[i]
-            for i, (jobs, k) in enumerate(corpus):
-                assert svc.solve(jobs, k, timeout=60).value == expected[i]
+            for i, req in enumerate(corpus):
+                assert svc.solve(req, timeout=60).value == expected[i]
+            for i, req in enumerate(corpus):
+                assert svc.solve(req, timeout=60).value == expected[i]
             recovered = svc.stats()
 
         # Armed: every lookup missed (the wipe), nothing failed.

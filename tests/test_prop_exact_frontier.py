@@ -5,10 +5,8 @@ that ran only through the greedy/DP paths; the bitset core makes n = 30
 routine and these properties pin its contracts there:
 
 * the materialised schedule is a genuine certificate (re-verified, value
-  equal to the reported optimum);
-* the python engine and the array kernel agree exactly (the kernel runs
-  jitted where numba is installed and as the same uncompiled function
-  otherwise — bit-identical either way);
+  equal to the reported optimum), and the subset the search materialised
+  sums to the value it reports;
 * the optimum is monotone under adding jobs (prefix instances never beat
   the full instance);
 * on the unit-value derivation, the optimum counts scheduled jobs:
@@ -40,17 +38,9 @@ def test_certificate_reverifies_at_frontier_sizes(jobs):
     sched = opt_infty_exact(jobs)
     verify_schedule(sched).assert_ok()
     assert sched.value == opt_infty_value(jobs)
-
-
-@given(large_jobsets(max_jobs=24))
-@_FRONTIER
-def test_python_and_kernel_engines_bit_identical(jobs):
-    py = bitset_solve(jobs, engine="python")
-    kern = bitset_solve(jobs, engine="kernel")
-    assert py.value == kern.value
-    # Whatever subset each engine materialised must itself be optimal.
-    assert sum(jobs[i].value for i in py.ids) == py.value
-    assert sum(jobs[i].value for i in kern.ids) == kern.value
+    # The subset the search materialised must itself be worth the optimum.
+    result = bitset_solve(jobs)
+    assert sum(jobs[i].value for i in result.ids) == result.value
 
 
 @given(large_jobsets(max_jobs=26))

@@ -18,7 +18,7 @@ from random import Random
 
 import pytest
 
-from repro.api import request_key, solve_k_bounded
+from repro.api import SolveRequest, request_key, solve_k_bounded
 from repro.instances import random_integral_jobs, random_jobs
 from repro.scheduling.job import Job, JobSet
 from repro.scheduling.verify import verify_schedule
@@ -146,13 +146,21 @@ def _corpus(count: int, n: int = 10, seed: int = 7):
     return [(random_jobs(n, seed=seed + i), 1 + i % 2) for i in range(count)]
 
 
+def _req(jobs, k, **kwargs):
+    return SolveRequest(jobs=jobs, k=k, **kwargs)
+
+
+def _reqs(corpus):
+    return [_req(jobs, k) for jobs, k in corpus]
+
+
 class TestServiceSemantics:
     def test_hit_equals_direct_solve(self):
         jobs, k = _corpus(1)[0]
         direct = solve_k_bounded(jobs, k)
         with SolverService(workers=2) as svc:
-            cold = svc.solve(jobs, k)
-            hit = svc.solve(jobs, k)
+            cold = svc.solve(_req(jobs, k))
+            hit = svc.solve(_req(jobs, k))
         assert cold.value == hit.value == direct.value
         assert cold.preemptions_used == direct.preemptions_used
         assert not cold.degraded and not hit.degraded
@@ -163,8 +171,8 @@ class TestServiceSemantics:
         jobs, k = _corpus(1)[0]
         permuted = JobSet(reversed(list(jobs)))
         with SolverService(workers=1) as svc:
-            svc.solve(jobs, k)
-            again = svc.solve(permuted, k)
+            svc.solve(_req(jobs, k))
+            again = svc.solve(_req(permuted, k))
             stats = svc.stats()
         assert again.metrics["served.hit"] == 1.0
         assert stats["hits"] == 1 and stats["misses"] == 1
@@ -211,7 +219,7 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=2, solve_fn=gated) as svc:
-            futs = [svc.submit(jobs, k) for _ in range(6)]
+            futs = [svc.submit(_req(jobs, k)) for _ in range(6)]
             assert len({id(f) for f in futs}) == 1
             assert svc.stats()["coalesced"] == 5
             gate.set()
@@ -224,8 +232,8 @@ class TestServiceSemantics:
     def test_submission_after_completion_is_a_hit_not_coalesced(self):
         jobs, k = _corpus(1)[0]
         with SolverService(workers=1) as svc:
-            svc.solve(jobs, k)
-            svc.solve(jobs, k)
+            svc.solve(_req(jobs, k))
+            svc.solve(_req(jobs, k))
             stats = svc.stats()
         assert stats["coalesced"] == 0 and stats["hits"] == 1
 
@@ -240,7 +248,7 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=1, solve_fn=flaky) as svc:
-            result = svc.solve(jobs, k)
+            result = svc.solve(_req(jobs, k))
             stats = svc.stats()
         assert len(attempts) == 2
         assert result.value == solve_k_bounded(jobs, k).value
@@ -256,7 +264,7 @@ class TestServiceSemantics:
             raise RuntimeError("permanent")
 
         with SolverService(workers=1, solve_fn=broken) as svc:
-            fut = svc.submit(jobs, k)
+            fut = svc.submit(_req(jobs, k))
             with pytest.raises(RuntimeError, match="permanent"):
                 fut.result(timeout=30)
             stats = svc.stats()
@@ -274,7 +282,7 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=1, solve_fn=slow_full) as svc:
-            result = svc.solve(jobs, k, deadline_ms=50)
+            result = svc.solve(_req(jobs, k, deadline_ms=50))
             stats = svc.stats()
         assert result.degraded
         assert result.metrics["served.degraded"] == 1.0
@@ -299,9 +307,9 @@ class TestServiceSemantics:
 
         direct = solve_k_bounded(jobs, k)
         with SolverService(workers=1, solve_fn=slow_once) as svc:
-            degraded = svc.solve(jobs, k, deadline_ms=50)
-            full = svc.solve(jobs, k)  # must NOT be served the degraded entry
-            hit = svc.solve(jobs, k)
+            degraded = svc.solve(_req(jobs, k, deadline_ms=50))
+            full = svc.solve(_req(jobs, k))  # must NOT be served the degraded entry
+            hit = svc.solve(_req(jobs, k))
             stats = svc.stats()
         assert degraded.degraded
         assert not full.degraded and "served.hit" not in full.metrics
@@ -322,9 +330,9 @@ class TestServiceSemantics:
             return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
 
         with SolverService(workers=2, solve_fn=gated) as svc:
-            leader = svc.submit(jobs, k, deadline_ms=60_000)
-            follower = svc.submit(jobs, k)
-            bounded = svc.submit(jobs, k, deadline_ms=60_000)
+            leader = svc.submit(_req(jobs, k, deadline_ms=60_000))
+            follower = svc.submit(_req(jobs, k))
+            bounded = svc.submit(_req(jobs, k, deadline_ms=60_000))
             assert follower is not leader
             assert bounded is follower  # new leader, deadline-bound rides it
             assert svc.stats()["misses"] == 2
@@ -348,7 +356,7 @@ class TestServiceSemantics:
         # Close the pool out from under the service while _closed is still
         # False — exactly the window a concurrent shutdown() can hit.
         svc._pool.shutdown(wait=True)
-        fut = svc.submit(jobs, k)
+        fut = svc.submit(_req(jobs, k))
         with pytest.raises(ServiceClosed):
             fut.result(timeout=10)
         assert svc.stats()["inflight"] == 0
@@ -377,7 +385,7 @@ class TestServiceSemantics:
 
         monkeypatch.setattr(service_mod, "time", FakeTime)
         with SolverService(workers=1, solve_fn=failing) as svc:
-            result = svc.solve(jobs, k, deadline_ms=100)
+            result = svc.solve(_req(jobs, k, deadline_ms=100))
             stats = svc.stats()
         assert len(attempts) == 1  # no second attempt without budget
         assert result.degraded
@@ -409,7 +417,7 @@ class TestServiceSemantics:
 
         monkeypatch.setattr(service_mod, "time", FakeTime)
         with SolverService(workers=1, solve_fn=failing) as svc:
-            result = svc.solve(jobs, k, deadline_ms=100)
+            result = svc.solve(_req(jobs, k, deadline_ms=100))
             stats = svc.stats()
         assert result.degraded
         assert result.metrics["served.errors"] == 1.0
@@ -443,7 +451,7 @@ class TestServiceSemantics:
     def test_generous_deadline_not_degraded(self):
         jobs, k = _corpus(1)[0]
         with SolverService(workers=1) as svc:
-            result = svc.solve(jobs, k, deadline_ms=60_000)
+            result = svc.solve(_req(jobs, k, deadline_ms=60_000))
         assert not result.degraded
         assert result.value == solve_k_bounded(jobs, k).value
 
@@ -451,7 +459,7 @@ class TestServiceSemantics:
         corpus = _corpus(4)
         with SolverService(workers=1, cache_size=2) as svc:
             for jobs, k in corpus:
-                svc.solve(jobs, k)
+                svc.solve(_req(jobs, k))
             stats = svc.stats()
         assert stats["evictions"] == 2 and stats["cache_size"] == 2
 
@@ -459,11 +467,11 @@ class TestServiceSemantics:
         jobs, _ = _corpus(1)[0]
         with SolverService(workers=1) as svc:
             with pytest.raises(ValueError):
-                svc.submit(jobs, -1)
+                svc.submit(_req(jobs, -1))
             with pytest.raises(ValueError):
-                svc.submit(jobs, 1, machines=0)
+                svc.submit(_req(jobs, 1, machines=0))
             with pytest.raises(ValueError):
-                svc.submit(jobs, 1, method="nope")
+                svc.submit(_req(jobs, 1, method="nope"))
             assert svc.stats()["requests"] == 0
 
     def test_closed_service_rejects_submissions(self):
@@ -471,7 +479,7 @@ class TestServiceSemantics:
         svc = SolverService(workers=1)
         svc.shutdown()
         with pytest.raises(ServiceClosed):
-            svc.submit(jobs, k)
+            svc.submit(_req(jobs, k))
 
     def test_tracer_collects_serve_counters_and_spans(self):
         from repro.obs.tracer import Tracer
@@ -479,8 +487,8 @@ class TestServiceSemantics:
         jobs, k = _corpus(1)[0]
         tracer = Tracer()
         with SolverService(workers=1, tracer=tracer) as svc:
-            svc.solve(jobs, k)
-            svc.solve(jobs, k)
+            svc.solve(_req(jobs, k))
+            svc.solve(_req(jobs, k))
         assert tracer.counters["serve.requests"] == 2
         assert tracer.counters["serve.misses"] == 1
         assert tracer.counters["serve.hits"] == 1
@@ -498,7 +506,7 @@ class TestBatchSubmission:
         corpus = _corpus(6)
         direct = [solve_k_bounded(jobs, k) for jobs, k in corpus]
         with SolverService(workers=2) as svc:
-            batch = svc.solve_batch(corpus)
+            batch = svc.solve_batch(_reqs(corpus))
             stats = svc.stats()
         for got, want in zip(batch, direct):
             assert got.value == want.value
@@ -511,8 +519,8 @@ class TestBatchSubmission:
     def test_batched_results_are_cached_and_stamped(self):
         corpus = _corpus(4)
         with SolverService(workers=2) as svc:
-            first = svc.solve_batch(corpus)
-            second = svc.solve_batch(corpus)
+            first = svc.solve_batch(_reqs(corpus))
+            second = svc.solve_batch(_reqs(corpus))
             stats = svc.stats()
         assert all(r.metrics.get("served.batched") == 1.0 for r in first)
         assert all(r.metrics.get("served.hit") == 1.0 for r in second)
@@ -522,7 +530,7 @@ class TestBatchSubmission:
         jobs, k = _corpus(1)[0]
         other = random_jobs(10, seed=99)
         with SolverService(workers=2) as svc:
-            futs = svc.submit_batch([(jobs, k), (jobs, k), (other, k)])
+            futs = svc.submit_batch(_reqs([(jobs, k), (jobs, k), (other, k)]))
             results = [f.result(timeout=60) for f in futs]
             stats = svc.stats()
         assert futs[0] is futs[1]
@@ -534,7 +542,7 @@ class TestBatchSubmission:
         # ordinary per-request path, no batched stat.
         corpus = [(random_jobs(10, seed=s), k) for s, k in ((1, 1), (2, 2), (3, 3))]
         with SolverService(workers=2) as svc:
-            results = svc.solve_batch(corpus)
+            results = svc.solve_batch(_reqs(corpus))
             stats = svc.stats()
         assert stats["batched"] == 0 and stats["misses"] == 3
         for (jobs, k), got in zip(corpus, results):
@@ -548,7 +556,7 @@ class TestBatchSubmission:
             (random_jobs(10, seed=13), 3),
         ]
         with SolverService(workers=2) as svc:
-            results = svc.solve_batch(corpus)
+            results = svc.solve_batch(_reqs(corpus))
             stats = svc.stats()
         assert stats["batched"] == 2
         for (jobs, k), got in zip(corpus, results):
@@ -559,9 +567,9 @@ class TestBatchSubmission:
         jobs, _ = _corpus(1)[0]
         with SolverService(workers=1) as svc:
             with pytest.raises(ValueError):
-                svc.submit_batch([(jobs, -1)])
+                svc.submit_batch([_req(jobs, -1)])
             with pytest.raises(ValueError):
-                svc.submit_batch([(jobs, 1)], machines=0)
+                svc.submit_batch([_req(jobs, 1, machines=0)])
             assert svc.stats()["inflight"] == 0
 
     def test_batch_failure_retries_once_then_fails_all(self):
@@ -578,7 +586,7 @@ class TestBatchSubmission:
             original = service_mod.solve_k_bounded_batch
             service_mod.solve_k_bounded_batch = boom
             try:
-                futs = svc.submit_batch([(j, 1) for j, _ in corpus])
+                futs = svc.submit_batch([_req(j, 1) for j, _ in corpus])
                 for fut in futs:
                     with pytest.raises(RuntimeError, match="batch kernel down"):
                         fut.result(timeout=60)
@@ -594,7 +602,7 @@ class TestBatchSubmission:
         corpus = _corpus(4, seed=41)
         tracer = Tracer()
         with SolverService(workers=2, tracer=tracer) as svc:
-            svc.solve_batch(corpus)
+            svc.solve_batch(_reqs(corpus))
         assert tracer.counters["serve.batched"] == 4
         assert tracer.counters["serve.misses"] == 4
 
@@ -641,10 +649,10 @@ def test_stress_concurrent_clients():
                 # Every client opens on corpus[0]: one leader, the rest
                 # coalesce onto its in-flight future.
                 jobs, k = corpus[0]
-                mine.append((request_key(jobs, k), svc.solve(jobs, k, timeout=60)))
+                mine.append((request_key(jobs, k), svc.solve(_req(jobs, k), timeout=60)))
                 for _ in range(STRESS_REQUESTS_PER_THREAD - 1):
                     jobs, k = corpus[rng.randrange(len(corpus))]
-                    mine.append((request_key(jobs, k), svc.solve(jobs, k, timeout=60)))
+                    mine.append((request_key(jobs, k), svc.solve(_req(jobs, k), timeout=60)))
             except Exception as exc:  # noqa: BLE001 - reported by the main thread
                 errors.append((tid, exc))
             results[tid] = mine
@@ -697,8 +705,7 @@ def test_stress_concurrent_clients():
 
 
 class TestSolveRequestSurface:
-    """The redesigned single-value-object API, and its interplay with the
-    legacy spellings (whose behaviour the rest of this file still pins)."""
+    """The single-value-object API: one ``SolveRequest`` per request."""
 
     @pytest.fixture
     def jobs(self):
@@ -717,20 +724,6 @@ class TestSolveRequestSurface:
             assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
         assert result.value == solve_k_bounded(jobs, 1).value
 
-    def test_request_and_legacy_spellings_share_one_cache_entry(self, jobs):
-        import warnings
-
-        from repro.api import SolveRequest
-
-        with SolverService(workers=1) as svc:
-            svc.solve(SolveRequest(jobs=jobs, k=1))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = svc.solve(jobs, 1)
-            stats = svc.stats()
-        assert legacy.metrics.get("served.hit")
-        assert (stats["misses"], stats["hits"]) == (1, 1)
-
     def test_extra_args_alongside_request_raise(self, jobs):
         from repro.api import SolveRequest
 
@@ -742,6 +735,16 @@ class TestSolveRequestSurface:
                 svc.solve(req, deadline_ms=50.0)
             with pytest.raises(TypeError):
                 svc.submit_batch([req], method="combined")
+
+    def test_non_request_argument_names_solve_request(self, jobs):
+        with SolverService(workers=1) as svc:
+            with pytest.raises(TypeError, match="SolveRequest"):
+                svc.submit(jobs)
+            with pytest.raises(TypeError, match="SolveRequest"):
+                svc.solve(jobs)
+            with pytest.raises(TypeError, match="SolveRequest"):
+                svc.submit_batch([jobs])
+            assert svc.stats()["requests"] == 0
 
     def test_mixed_batch_spellings_raise(self, jobs):
         from repro.api import SolveRequest
@@ -784,19 +787,12 @@ class TestSolveRequestSurface:
         assert stats["misses"] == 2
 
     def test_validation_happens_in_request_construction(self, jobs):
-        import warnings
-
         from repro.api import SolveRequest
 
         with pytest.raises(ValueError):
             SolveRequest(jobs=jobs, k=-1)
-        with SolverService(workers=1) as svc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                with pytest.raises(ValueError):
-                    svc.submit(jobs, -1)  # legacy path funnels into the same check
-                with pytest.raises(ValueError):
-                    svc.submit(jobs, 1, machines=0)
+        with pytest.raises(ValueError):
+            SolveRequest(jobs=jobs, k=1, machines=0)
 
     def test_service_signature_snapshot(self):
         import inspect
@@ -804,25 +800,15 @@ class TestSolveRequestSurface:
         def names(fn):
             return list(inspect.signature(fn).parameters)
 
-        assert names(SolverService.submit) == [
-            "self", "request", "k", "machines", "method", "deadline_ms",
-        ]
-        assert names(SolverService.solve) == [
-            "self", "request", "k", "machines", "method", "deadline_ms", "timeout",
-        ]
-        assert names(SolverService.submit_batch) == [
-            "self", "requests", "machines", "method",
-        ]
-        assert names(SolverService.solve_batch) == [
-            "self", "requests", "machines", "method", "timeout",
-        ]
-        # Everything after the request object is optional (legacy-only).
-        for fn in (SolverService.submit, SolverService.solve):
-            params = inspect.signature(fn).parameters
-            assert all(
-                p.default is None for name, p in params.items()
-                if name not in ("self", "request", "requests")
-            )
+        assert names(SolverService.submit) == ["self", "request"]
+        assert names(SolverService.solve) == ["self", "request", "timeout"]
+        assert names(SolverService.submit_batch) == ["self", "requests"]
+        assert names(SolverService.solve_batch) == ["self", "requests", "timeout"]
+        # The only option beside the request is the keyword-only wait bound.
+        for fn in (SolverService.solve, SolverService.solve_batch):
+            timeout = inspect.signature(fn).parameters["timeout"]
+            assert timeout.kind is inspect.Parameter.KEYWORD_ONLY
+            assert timeout.default is None
 
 
 class TestServiceStats:
