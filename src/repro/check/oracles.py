@@ -437,27 +437,34 @@ def _solve_deterministic(case: Case) -> Optional[str]:
 @register_oracle(
     "served-vs-direct",
     "jobs",
-    "SolverService answers (cold and cache-hit) equal the direct facade solve",
+    "SolverService answers (cold, cache hit, batched) equal the direct facade solve",
 )
 def _served_vs_direct(case: Case) -> Optional[str]:
+    """The case is served cold, then as a cache hit, then — cache cleared —
+    through ``solve_batch`` beside a time-shifted copy of itself (a
+    distinct instance at the same ``k``), so the batched completion path
+    runs too.  Every answer must equal the direct solve byte for byte."""
     import json
 
-    from repro.api import solve_k_bounded
+    from repro.api import SolveRequest, solve_k_bounded
     from repro.scheduling.io import schedule_to_dict
     from repro.scheduling.verify import verify_schedule
     from repro.serve import SolverService
-
-    from repro.api import SolveRequest
 
     jobs, k = case.payload, case.params["k"]
     direct = solve_k_bounded(jobs, k)
     direct_bytes = json.dumps(schedule_to_dict(direct.schedule), sort_keys=True)
     request = SolveRequest(jobs=jobs, k=k)
+    shifted = JobSet(
+        Job(j.id, j.release + 1, j.deadline + 1, j.length, j.value) for j in jobs
+    )
     with SolverService(workers=1) as svc:
         cold = svc.solve(request)
         hit = svc.solve(request)
         stats = svc.stats()
-    for label, served in (("cold", cold), ("hit", hit)):
+        svc.clear_cache()
+        batched = svc.solve_batch([request, SolveRequest(jobs=shifted, k=k)])[0]
+    for label, served in (("cold", cold), ("hit", hit), ("batched", batched)):
         if served.degraded:
             return f"serve {label} result degraded without any deadline (k={k})"
         rep = verify_schedule(served.schedule, k=k)
@@ -478,6 +485,8 @@ def _served_vs_direct(case: Case) -> Optional[str]:
         )
     if not hit.metrics.get("served.hit"):
         return "cache-hit result is missing its served.hit metrics flag"
+    if k >= 1 and jobs.n and not batched.metrics.get("served.batched"):
+        return f"batch of two distinct instances was not solved batched (k={k})"
     return None
 
 

@@ -252,22 +252,27 @@ class Gateway:
     async def start(self) -> None:
         """Start the shard fleet, the supervisor, then the HTTP server."""
         for index in range(self._n_shards):
-            shard = self._shard_factory(index)
-            await shard.start()
-            self._shards.append(shard)
-            self._batchers.append(_ShardBatcher(shard, self._batch_max, self._count))
-            self._inflight.append(0)
-            self._down.append(False)
-            self._generation.append(0)
-            event = asyncio.Event()
-            event.set()
-            self._recovered.append(event)
+            await self._add_shard(index)
         if self.supervisor is not None:
             self.supervisor.start()
         self._server = await asyncio.start_server(
             self._handle_conn, self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
+
+    async def _add_shard(self, index: int) -> None:
+        """Start shard ``index`` and append its entry to every per-shard list
+        (the one place that keeps those lists aligned)."""
+        shard = self._shard_factory(index)
+        await shard.start()
+        self._shards.append(shard)
+        self._batchers.append(_ShardBatcher(shard, self._batch_max, self._count))
+        self._inflight.append(0)
+        self._down.append(False)
+        self._generation.append(0)
+        recovered = asyncio.Event()
+        recovered.set()
+        self._recovered.append(recovered)
 
     async def stop(self) -> None:
         """Stop supervision and connections, then stop every shard."""
@@ -417,16 +422,7 @@ class Gateway:
             return {"shards": old_n, "moved_arcs": 0, "moved_fraction": 0.0}
         # Grow: start the new shards before routing to them.
         for index in range(old_n, new_shards):
-            shard = self._shard_factory(index)
-            await shard.start()
-            self._shards.append(shard)
-            self._batchers.append(_ShardBatcher(shard, self._batch_max, self._count))
-            self._inflight.append(0)
-            self._down.append(False)
-            self._generation.append(0)
-            event = asyncio.Event()
-            event.set()
-            self._recovered.append(event)
+            await self._add_shard(index)
         moved_arcs = 0
         moved_fraction: Optional[float] = None
         if self._ring is not None:

@@ -66,37 +66,17 @@ from repro.serve.cache import LruCache
 
 __all__ = ["ServiceStats", "SolverService", "ServiceClosed"]
 
-#: Stat fields reported by :meth:`SolverService.stats`, all monotonic.
-_STAT_NAMES = (
-    "requests",
-    "hits",
-    "misses",
-    "coalesced",
-    "batched",
-    "degraded",
-    "evictions",
-    "retries",
-    "timeouts",
-    "errors",
-    "store_hits",
-    "store_misses",
-    "store_writes",
-    "store_prewarmed",
-)
-
 
 @dataclass(frozen=True)
 class ServiceStats:
     """One service's counter snapshot, as a typed value object.
 
-    The field names are exactly the keys the old plain-dict ``stats()``
-    used, so nothing downstream has to re-learn names — and the gateway
-    can aggregate a whole fleet's stats without string-key drift:
-    :meth:`aggregate` sums snapshots field by field.  ``cache_size`` and
-    ``inflight`` are occupancy gauges, everything else is monotonic.
-
-    Dict-style access (``stats["hits"]``) and :meth:`as_dict` keep the
-    historical call sites working verbatim.
+    Each monotonic field equals its tracer counter (``serve.<field>``, or
+    ``store.<name>`` for a ``store_<name>`` field).  The gateway aggregates
+    a whole fleet's stats with :meth:`aggregate`, which sums snapshots
+    field by field.  ``cache_size`` and ``inflight`` are occupancy gauges,
+    everything else is monotonic.  Dict-style access (``stats["hits"]``)
+    and :meth:`as_dict` give the same numbers by name.
     """
 
     requests: int = 0
@@ -117,7 +97,7 @@ class ServiceStats:
     inflight: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """The plain-dict form (JSON payloads, legacy callers)."""
+        """The plain-dict form (JSON payloads)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __getitem__(self, name: str) -> int:
@@ -139,29 +119,30 @@ class ServiceStats:
         return cls(**totals)
 
 
+#: Tracer counter of each monotonic stat (every field but the occupancy
+#: gauges): ``store.*`` for the ``store_*`` fields, ``serve.*`` for the rest.
+_COUNTER_OF = {
+    f.name: f"serve.{f.name}".replace("serve.store_", "store.")
+    for f in fields(ServiceStats)
+    if f.name not in ("cache_size", "inflight")
+}
+
+
 class ServiceClosed(RuntimeError):
-    """Raised by :meth:`SolverService.submit` after :meth:`shutdown`."""
-
-
-def _require_request(fn_name: str, request: object) -> SolveRequest:
-    """``request`` itself, or a ``TypeError`` for anything but a SolveRequest."""
-    if not isinstance(request, SolveRequest):
-        raise TypeError(
-            f"SolverService.{fn_name}() takes a repro.api.SolveRequest, "
-            f"got {type(request).__name__}"
-        )
-    return request
+    """Raised by the ``submit``/``solve`` entry points after :meth:`shutdown`."""
 
 
 class SolverService:
     """Concurrently-executing, caching, coalescing facade over the solvers.
 
     ``workers`` bounds the solve concurrency; ``cache_size`` bounds the LRU
-    result cache; ``deadline_ms`` is a default per-request budget (each
-    :meth:`submit` may override it).  ``tracer`` defaults to the tracer
-    active at construction time — pass one explicitly to collect service
-    spans without activating a context tracer.  ``solve_fn`` exists for
-    tests (fault windows, slow solves); production callers never set it.
+    result cache; ``deadline_ms`` is the default budget of every request
+    that sets none itself, through :meth:`submit` and :meth:`submit_batch`
+    alike (both share one admission path).  ``tracer`` defaults to the
+    tracer active at construction time — pass one explicitly to collect
+    service spans without activating a context tracer.  ``solve_fn``
+    exists for tests (fault windows, slow solves); production callers
+    never set it.
 
     ``store`` mounts an existing :class:`repro.store.ResultStore` as the
     durable second cache tier; ``store_path`` (mutually exclusive) opens
@@ -204,7 +185,7 @@ class SolverService:
         # request that did not opt into one.
         self._inflight: Dict[str, Tuple[Future, Optional[float]]] = {}
         self._lock = threading.Lock()
-        self._stats: Dict[str, int] = {name: 0 for name in _STAT_NAMES}
+        self._stats: Dict[str, int] = dict.fromkeys(_COUNTER_OF, 0)
         self._tracer = tracer if tracer is not None else current_tracer()
         self._solve = solve_fn if solve_fn is not None else solve_k_bounded
         self._default_deadline_ms = deadline_ms
@@ -218,10 +199,8 @@ class SolverService:
         self._store = store
         if self._store is not None and prewarm:
             loaded = self._store.prewarm_into(self._cache, limit=cache_size)
-            if loaded:
-                with self._lock:
-                    self._stats["store_prewarmed"] += loaded
-                    self._count_tracer("store.prewarmed", loaded)
+            with self._lock:
+                self._bump("store_prewarmed", loaded)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -258,158 +237,35 @@ class SolverService:
         request validated its own fields when it was built) — only solver
         failures travel through the future.
         """
-        return self._submit_request(_require_request("submit", request))
-
-    def _submit_request(self, req: SolveRequest) -> "Future[SolveResult]":
-        key = req.key()
-        deadline_ms = (
-            req.deadline_ms if req.deadline_ms is not None else self._default_deadline_ms
-        )
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("submit on a shut-down SolverService")
-            self._stats["requests"] += 1
-            self._count_tracer("serve.requests")
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._stats["hits"] += 1
-                self._count_tracer("serve.hits")
-                done: "Future[SolveResult]" = Future()
-                done.set_result(cached.with_metrics({"served.hit": 1.0}))
-                return done
-            entry = self._inflight.get(key)
-            if entry is not None:
-                lead_fut, lead_deadline = entry
-                if deadline_ms is not None or lead_deadline is None:
-                    self._stats["coalesced"] += 1
-                    self._count_tracer("serve.coalesced")
-                    return lead_fut
-                # A no-deadline request must get the full-pipeline answer;
-                # fall through to dispatch a fresh solve that replaces the
-                # deadline-bound leader (later followers share the better
-                # future; the old leader resolves its own waiters).
-            fut: "Future[SolveResult]" = Future()
-            self._inflight[key] = (fut, deadline_ms)
-            self._stats["misses"] += 1
-            self._count_tracer("serve.misses")
-        try:
-            self._pool.submit(
-                self._run, key, fut, req.jobs, req.k, req.machines, req.method,
-                deadline_ms,
-            )
-        except RuntimeError:
-            # shutdown() won the race between our _closed check and the pool
-            # dispatch; resolve the future so waiters (including any follower
-            # that coalesced in the meantime) are not stranded in result().
-            with self._lock:
-                self._drop_inflight(key, fut)
-            fut.set_exception(
-                ServiceClosed("service shut down while dispatching the request")
-            )
-        return fut
+        return self._admit("submit", [request])[0]
 
     def solve(
         self, request: SolveRequest, *, timeout: Optional[float] = None
     ) -> SolveResult:
         """Blocking convenience wrapper around :meth:`submit`."""
-        req = _require_request("solve", request)
-        return self._submit_request(req).result(timeout=timeout)
+        return self._admit("solve", [request])[0].result(timeout=timeout)
 
     def submit_batch(
         self, requests: Iterable[SolveRequest]
     ) -> "list[Future[SolveResult]]":
         """Enqueue many :class:`SolveRequest`\\ s; returns futures in order.
 
-        Per request the cache/coalescing rules of :meth:`submit` apply
-        (duplicates *within* the batch coalesce too).  What remains — the
-        no-deadline cache misses — is grouped by ``(k, machines, method)``,
-        and every group of two or more compatible requests (``k >= 1``,
-        single machine, ``auto``/``combined`` method) is drained as *one*
-        batched solve through :func:`repro.api.solve_k_bounded_batch`, so
-        the whole group's schedule forests go through one cross-instance TM
-        kernel dispatch.  Singleton or incompatible misses dispatch as
-        ordinary requests; a request carrying a ``deadline_ms`` dispatches
-        through the single-request path (deadline degradation applies to it
-        alone — batched solves never degrade and every batched result is
-        cacheable).  Batched results are stamped with
-        ``metrics["served.batched"]``.
+        Every request is admitted exactly like a :meth:`submit` — same
+        effective deadline (its own ``deadline_ms``, else the service-wide
+        default), same cache and coalescing rules, and duplicates *within*
+        the batch coalesce too.  What remains — the no-deadline cache
+        misses — is grouped by ``(k, machines, method)``, and every group
+        of two or more compatible requests (``k >= 1``, single machine,
+        ``auto``/``combined`` method) is drained as *one* batched solve
+        through :func:`repro.api.solve_k_bounded_batch`, so the whole
+        group's schedule forests go through one cross-instance TM kernel
+        dispatch.  Batched results are stamped with
+        ``metrics["served.batched"]``; batched solves never degrade and
+        every batched result is cacheable.  Singleton or incompatible
+        misses, and every deadline-bound miss, dispatch as ordinary
+        requests (deadline degradation applies to each alone).
         """
-        reqs = [_require_request("submit_batch", req) for req in requests]
-        futures: "list[Optional[Future[SolveResult]]]" = [None] * len(reqs)
-        groups: Dict[Tuple[int, int, str], list] = {}
-        deadline_indices: List[int] = []
-        batch_leaders: Dict[str, Future] = {}
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("submit_batch on a shut-down SolverService")
-            for idx, req in enumerate(reqs):
-                if req.deadline_ms is not None:
-                    # Deadline-bound requests take the single-request path
-                    # after the lock is released: they may degrade, so they
-                    # must not lead a batch (whose results are cached).
-                    deadline_indices.append(idx)
-                    continue
-                key = req.key()
-                self._stats["requests"] += 1
-                self._count_tracer("serve.requests")
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._stats["hits"] += 1
-                    self._count_tracer("serve.hits")
-                    done: "Future[SolveResult]" = Future()
-                    done.set_result(cached.with_metrics({"served.hit": 1.0}))
-                    futures[idx] = done
-                    continue
-                leader = batch_leaders.get(key)
-                if leader is not None:
-                    self._stats["coalesced"] += 1
-                    self._count_tracer("serve.coalesced")
-                    futures[idx] = leader
-                    continue
-                entry = self._inflight.get(key)
-                if entry is not None and entry[1] is None:
-                    # An in-flight full-pipeline solve: share its future.
-                    # (A deadline-bound leader may degrade; batch requests
-                    # want the full artifact, so they replace it below.)
-                    self._stats["coalesced"] += 1
-                    self._count_tracer("serve.coalesced")
-                    batch_leaders[key] = entry[0]
-                    futures[idx] = entry[0]
-                    continue
-                fut: "Future[SolveResult]" = Future()
-                self._inflight[key] = (fut, None)
-                self._stats["misses"] += 1
-                self._count_tracer("serve.misses")
-                batch_leaders[key] = fut
-                groups.setdefault((req.k, req.machines, req.method), []).append(
-                    (key, fut, req.jobs)
-                )
-                futures[idx] = fut
-        for (k_group, machines_group, method_group), group in groups.items():
-            batchable = (
-                machines_group == 1
-                and method_group in ("auto", "combined")
-                and k_group >= 1
-                and len(group) >= 2
-            )
-            if batchable:
-                with self._lock:
-                    self._stats["batched"] += len(group)
-                    self._count_tracer("serve.batched", len(group))
-                self._dispatch(
-                    self._run_batch, group, k_group, machines_group, method_group,
-                    futs=[fut for _, fut, _ in group], keys=[key for key, _, _ in group],
-                )
-            else:
-                for key, fut, jobs in group:
-                    self._dispatch(
-                        self._run, key, fut, jobs, k_group, machines_group,
-                        method_group, None,
-                        futs=[fut], keys=[key],
-                    )
-        for idx in deadline_indices:
-            futures[idx] = self._submit_request(reqs[idx])
-        return futures
+        return self._admit("submit_batch", requests)
 
     def solve_batch(
         self,
@@ -418,28 +274,13 @@ class SolverService:
         timeout: Optional[float] = None,
     ) -> "list[SolveResult]":
         """Blocking convenience wrapper around :meth:`submit_batch`."""
-        futures = self.submit_batch(requests)
-        return [fut.result(timeout=timeout) for fut in futures]
-
-    def _dispatch(self, fn, *args, futs, keys) -> None:
-        """Submit work to the pool, resolving futures if shutdown races us."""
-        try:
-            self._pool.submit(fn, *args)
-        except RuntimeError:
-            with self._lock:
-                for key, fut in zip(keys, futs):
-                    self._drop_inflight(key, fut)
-            for fut in futs:
-                if not fut.done():
-                    fut.set_exception(
-                        ServiceClosed("service shut down while dispatching the request")
-                    )
+        return [fut.result(timeout=timeout) for fut in self.submit_batch(requests)]
 
     def stats(self) -> ServiceStats:
         """Snapshot of the service counters plus cache/in-flight occupancy.
 
-        Returns a frozen :class:`ServiceStats`; legacy dict-style access
-        (``stats()["hits"]``) still works, and :meth:`ServiceStats.as_dict`
+        Returns a frozen :class:`ServiceStats`; dict-style access
+        (``stats()["hits"]``) works too, and :meth:`ServiceStats.as_dict`
         gives the plain-dict form for JSON payloads.
         """
         with self._lock:
@@ -454,12 +295,108 @@ class SolverService:
         with self._lock:
             self._cache.clear()
 
-    # -- worker side ----------------------------------------------------------
+    # -- admission ------------------------------------------------------------
 
-    def _count_tracer(self, name: str, delta: float = 1) -> None:
-        # Caller must hold self._lock; the tracer's counter dict is shared.
-        if self._tracer is not None:
-            self._tracer.count(name, delta)
+    def _admit(
+        self, fn_name: str, requests: Iterable[SolveRequest]
+    ) -> "list[Future[SolveResult]]":
+        """The one admission path; returns one future per request, in order.
+
+        Anything but a ``SolveRequest`` raises ``TypeError`` before any
+        request is admitted.  Under the lock each request gets its
+        effective deadline, then a cache hit, the in-flight leader's future
+        (when the deadlines are compatible) or a new leader future
+        registered in ``_inflight``.  After the lock, deadline-bound misses
+        dispatch one by one (they may degrade, so they never join a batch,
+        whose results are all cached) and the no-deadline misses dispatch
+        per ``(k, machines, method)`` group.
+        """
+        reqs = list(requests)
+        for req in reqs:
+            if not isinstance(req, SolveRequest):
+                raise TypeError(
+                    f"SolverService.{fn_name}() takes a repro.api.SolveRequest, "
+                    f"got {type(req).__name__}"
+                )
+        keys = [req.key() for req in reqs]
+        default_ms = self._default_deadline_ms
+        futures: "list[Future[SolveResult]]" = []
+        solo: list = []  # _run's (key, fut, jobs, k, machines, method, deadline)
+        groups: Dict[Tuple[int, int, str], list] = {}
+        with self._lock:
+            if self._closed:
+                raise ServiceClosed(f"{fn_name} on a shut-down SolverService")
+            self._bump("requests", len(reqs))
+            for key, req in zip(keys, reqs):
+                deadline_ms = default_ms if req.deadline_ms is None else req.deadline_ms
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._bump("hits")
+                    fut: "Future[SolveResult]" = Future()
+                    fut.set_result(cached.with_metrics({"served.hit": 1.0}))
+                    futures.append(fut)
+                    continue
+                entry = self._inflight.get(key)
+                if entry is not None and (deadline_ms is not None or entry[1] is None):
+                    self._bump("coalesced")
+                    futures.append(entry[0])
+                    continue
+                # A new leader.  This also covers a no-deadline request
+                # meeting a deadline-bound leader: it must get the
+                # full-pipeline answer, so it replaces the leader (later
+                # followers share the better future; the old leader
+                # resolves its own waiters).
+                self._bump("misses")
+                fut = Future()
+                self._inflight[key] = (fut, deadline_ms)
+                futures.append(fut)
+                if deadline_ms is None:
+                    params = (req.k, req.machines, req.method)
+                    groups.setdefault(params, []).append((key, fut, req.jobs))
+                else:
+                    solo.append(
+                        (key, fut, req.jobs, req.k, req.machines, req.method,
+                         deadline_ms)
+                    )
+        for (k, machines, method), group in groups.items():
+            batchable = machines == 1 and k >= 1 and method in ("auto", "combined")
+            if batchable and len(group) >= 2:
+                with self._lock:
+                    self._bump("batched", len(group))
+                self._dispatch(group, self._run_batch, group, k, machines, method)
+            else:
+                solo.extend(
+                    (key, fut, jobs, k, machines, method, None)
+                    for key, fut, jobs in group
+                )
+        for args in solo:
+            self._dispatch([args[:3]], self._run, *args)
+        return futures
+
+    def _dispatch(self, members: list, fn, *args) -> None:
+        """Submit work to the pool; if shutdown() won the race since the
+        closed-check, fail the members so no waiter is stranded."""
+        try:
+            self._pool.submit(fn, *args)
+        except RuntimeError:
+            self._fail(
+                members,
+                ServiceClosed("service shut down while dispatching the request"),
+            )
+
+    # -- completion -----------------------------------------------------------
+
+    def _bump(self, stat: str, delta: float = 1) -> None:
+        """Add ``delta`` to a stat and to its tracer counter, together.
+
+        Caller must hold ``self._lock`` (the tracer's counter dict is
+        shared).  A zero delta is skipped, so no counter appears at 0.
+        """
+        delta = int(delta)
+        if delta:
+            self._stats[stat] += delta
+            if self._tracer is not None:
+                self._tracer.count(_COUNTER_OF[stat], delta)
 
     def _drop_inflight(self, key: str, fut: "Future[SolveResult]") -> None:
         # Caller must hold self._lock.  Pop only our own entry: a no-deadline
@@ -468,38 +405,95 @@ class SolverService:
         if entry is not None and entry[0] is fut:
             del self._inflight[key]
 
-    def _store_get(self, key: str) -> Optional[SolveResult]:
-        # Store I/O must never fail a request: any store-side exception is
-        # treated as a miss (the cold solve is always a safe fallback).
-        if self._store is None:
-            return None
-        try:
-            return self._store.get(key)
-        except Exception:
-            return None
+    def _store_lookup(self, members: list) -> list:
+        """Resolve the ``(key, future, jobs)`` members the durable tier
+        holds, promoting them into the LRU; returns the rest to solve.
 
-    def _store_put(self, key: str, result: SolveResult) -> int:
-        # Returns 1 on a new durable write, 0 otherwise; never raises.
+        The store only holds full-pipeline artifacts, so a store hit
+        satisfies deadline-bound and unbound requests alike.  Store I/O
+        must never fail a request: a store-side exception is a miss.
+        """
         if self._store is None:
-            return 0
-        try:
-            return int(self._store.put(key, result))
-        except Exception:
-            return 0
-
-    def _serve_store_hit(
-        self, key: str, fut: "Future[SolveResult]", stored: SolveResult
-    ) -> None:
-        """Resolve one request from the durable tier, promoting into the LRU."""
+            return members
+        found, rest = [], []
+        for member in members:
+            try:
+                stored = self._store.get(member[0])
+            except Exception:
+                stored = None
+            if stored is None:
+                rest.append(member)
+            else:
+                found.append((member, stored))
         with self._lock:
-            evicted = self._cache.put(key, stored)
-            self._drop_inflight(key, fut)
-            self._stats["store_hits"] += 1
-            self._stats["evictions"] += evicted
-            self._count_tracer("store.hits")
-            if evicted:
-                self._count_tracer("serve.evictions", evicted)
-        fut.set_result(stored.with_metrics({"served.store_hit": 1.0}))
+            evicted = 0
+            for (key, fut, _), stored in found:
+                evicted += self._cache.put(key, stored)
+                self._drop_inflight(key, fut)
+            self._bump("store_hits", len(found))
+            self._bump("store_misses", len(rest))
+            self._bump("evictions", evicted)
+        for (_, fut, _), stored in found:
+            fut.set_result(stored.with_metrics({"served.store_hit": 1.0}))
+        return rest
+
+    def _fail(
+        self,
+        members: list,
+        exc: BaseException,
+        tracer: Optional[Tracer] = None,
+        retries: int = 0,
+    ) -> None:
+        """Fail every member's future with ``exc``, leaving no residue."""
+        with self._lock:
+            for key, fut, _ in members:
+                self._drop_inflight(key, fut)
+            self._bump("errors", len(members))
+            self._bump("retries", retries)
+            if self._tracer is not None and tracer is not None:
+                self._tracer.merge(tracer.export())
+        for _, fut, _ in members:
+            fut.set_exception(exc)
+
+    def _succeed(
+        self, members: list, results: List[SolveResult], tracer: Tracer, **counts
+    ) -> None:
+        """Persist, cache, count and resolve stamped ``results``.
+
+        Degraded results are neither persisted nor cached: the key promises
+        the full-pipeline artifact, and a poisoned entry would be served to
+        later no-deadline requests.  ``counts`` are extra stat deltas.
+        """
+        keep = [
+            (key, result)
+            for (key, _, _), result in zip(members, results)
+            if not result.degraded
+        ]
+        # Persist outside the service lock: store I/O serialises on the
+        # store's own lock and must not stall cache lookups.  A store-side
+        # exception is swallowed (the write just does not count).
+        wrote = 0
+        if self._store is not None:
+            for key, result in keep:
+                try:
+                    wrote += int(self._store.put(key, result))
+                except Exception:
+                    pass
+        with self._lock:
+            evicted = 0
+            for key, result in keep:
+                evicted += self._cache.put(key, result)
+            for key, fut, _ in members:
+                self._drop_inflight(key, fut)
+            self._bump("evictions", evicted)
+            self._bump("store_writes", wrote)
+            self._bump("degraded", len(members) - len(keep))
+            for stat, delta in counts.items():
+                self._bump(stat, delta)
+            if self._tracer is not None:
+                self._tracer.merge(tracer.export())
+        for (_, fut, _), result in zip(members, results):
+            fut.set_result(result)
 
     def _run(
         self,
@@ -511,177 +505,76 @@ class SolverService:
         method: str,
         deadline_ms: Optional[float],
     ) -> None:
-        if self._store is not None:
-            stored = self._store_get(key)
-            if stored is not None:
-                # The durable tier only holds full-pipeline artifacts, so a
-                # store hit satisfies deadline-bound and unbound requests
-                # alike — and is always faster than degrading.
-                self._serve_store_hit(key, fut, stored)
-                return
-            with self._lock:
-                self._stats["store_misses"] += 1
-                self._count_tracer("store.misses")
+        """Pool entry point: serve one request under its deadline."""
+        members = self._store_lookup([(key, fut, jobs)])
+        if not members:
+            return
         tracer = Tracer()
         try:
-            with tracer.activate():
-                with tracer.span(
-                    "serve.request",
-                    n=jobs.n,
-                    k=k,
-                    machines=machines,
-                    method=method,
-                    deadline_ms=deadline_ms,
-                ) as root:
-                    result, served = self._solve_with_deadline(
-                        jobs, k, machines, method, deadline_ms
-                    )
-                    root.attrs["degraded"] = bool(served["served.degraded"])
-                wall_ms = root.duration_ms
+            with tracer.activate(), tracer.span(
+                "serve.request", n=jobs.n, k=k, machines=machines, method=method,
+                deadline_ms=deadline_ms,
+            ) as root:
+                result, served = self._solve_with_deadline(
+                    jobs, k, machines, method, deadline_ms
+                )
+                root.attrs["degraded"] = bool(served["served.degraded"])
         except BaseException as exc:
-            with self._lock:
-                self._drop_inflight(key, fut)
-                self._stats["errors"] += 1
-                self._count_tracer("serve.errors")
-                if self._tracer is not None:
-                    self._tracer.merge(tracer.export())
-            fut.set_exception(exc)
+            self._fail(members, exc, tracer)
             return
-        served["served.wall_ms"] = float(wall_ms)
-        result = result.with_metrics(served)
-        # Persist outside the service lock: store I/O serialises on the
-        # store's own lock and must not stall cache lookups.  The poisoning
-        # rule extends to disk — degraded results are never persisted.
-        wrote = 0
-        if not served["served.degraded"]:
-            wrote = self._store_put(key, result)
-        with self._lock:
-            if served["served.degraded"]:
-                # Never cache a degraded answer: the cache key promises the
-                # full-pipeline artifact, and a poisoned entry would be
-                # served to later no-deadline requests with no recovery
-                # short of clear_cache().
-                evicted = 0
-            else:
-                evicted = self._cache.put(key, result)
-            self._drop_inflight(key, fut)
-            self._stats["evictions"] += evicted
-            self._stats["degraded"] += int(served["served.degraded"])
-            self._stats["retries"] += int(served["served.retries"])
-            self._stats["timeouts"] += int(served["served.timeouts"])
-            self._stats["errors"] += int(served["served.errors"])
-            self._stats["store_writes"] += wrote
-            if self._tracer is not None:
-                if evicted:
-                    self._count_tracer("serve.evictions", evicted)
-                if served["served.degraded"]:
-                    self._count_tracer("serve.degraded")
-                if served["served.retries"]:
-                    self._count_tracer("serve.retries", served["served.retries"])
-                if served["served.timeouts"]:
-                    self._count_tracer("serve.timeouts", served["served.timeouts"])
-                if served["served.errors"]:
-                    self._count_tracer("serve.errors", served["served.errors"])
-                if wrote:
-                    self._count_tracer("store.writes", wrote)
-                self._tracer.merge(tracer.export())
-        fut.set_result(result)
+        served["served.wall_ms"] = float(root.duration_ms)
+        self._succeed(
+            members,
+            [result.with_metrics(served)],
+            tracer,
+            retries=served["served.retries"],
+            timeouts=served["served.timeouts"],
+            errors=served["served.errors"],
+        )
 
     def _run_batch(self, group, k: int, machines: int, method: str) -> None:
-        """Solve one compatible miss group with a single batched solve.
+        """Pool entry point: solve one compatible no-deadline miss group
+        (a list of ``(key, future, jobs)``) with a single batched solve.
 
-        ``group`` is a list of ``(key, future, jobs)``.  No deadline applies
-        (batch submissions carry none), so nothing here degrades and every
-        result is cached.  A failure of the batched solve is retried once —
-        mirroring the no-deadline :meth:`_solve_with_deadline` contract —
-        and then fails *all* the group's futures.
-
-        With a store mounted, members found on disk are resolved as store
-        hits up front and only the remainder is batch-solved (the group was
-        already counted ``batched`` at submit time: the stat tracks requests
-        drained through the batch path, not kernel membership).
+        Nothing here degrades, so every result is cached.  A failure of
+        the batched solve is retried once — mirroring the no-deadline
+        :meth:`_solve_with_deadline` contract — and then fails *all* the
+        group's futures.  Members found in the store are served from it
+        and only the remainder is batch-solved (the group was already
+        counted ``batched`` at admission: the stat tracks requests drained
+        through the batch path, not kernel membership).
         """
-        if self._store is not None:
-            remaining = []
-            for key, fut, jobs in group:
-                stored = self._store_get(key)
-                if stored is None:
-                    remaining.append((key, fut, jobs))
-                else:
-                    self._serve_store_hit(key, fut, stored)
-            if len(remaining) != len(group):
-                group = remaining
-            if group:
-                with self._lock:
-                    self._stats["store_misses"] += len(group)
-                    self._count_tracer("store.misses", len(group))
-            else:
-                return
+        group = self._store_lookup(group)
+        if not group:
+            return
+        jobs_list = [jobs for _, _, jobs in group]
+        attempt = lambda: solve_k_bounded_batch(
+            jobs_list, k, machines=machines, method=method
+        )
         tracer = Tracer()
         retries = 0
         try:
-            with tracer.activate():
-                with tracer.span(
-                    "serve.batch", requests=len(group), k=k, machines=machines,
-                    method=method,
-                ) as root:
-                    jobs_list = [jobs for _, _, jobs in group]
-                    try:
-                        results = solve_k_bounded_batch(
-                            jobs_list, k, machines=machines, method=method
-                        )
-                    except Exception:
-                        retries = 1
-                        results = solve_k_bounded_batch(
-                            jobs_list, k, machines=machines, method=method
-                        )
-                wall_ms = root.duration_ms
+            with tracer.activate(), tracer.span(
+                "serve.batch", requests=len(group), k=k, machines=machines,
+                method=method,
+            ) as root:
+                try:
+                    results = attempt()
+                except Exception:
+                    retries = 1
+                    results = attempt()
         except BaseException as exc:
-            with self._lock:
-                for key, fut, _ in group:
-                    self._drop_inflight(key, fut)
-                self._stats["errors"] += len(group)
-                self._count_tracer("serve.errors", len(group))
-                if retries:
-                    self._stats["retries"] += retries
-                    self._count_tracer("serve.retries", retries)
-                if self._tracer is not None:
-                    self._tracer.merge(tracer.export())
-            for _, fut, _ in group:
-                fut.set_exception(exc)
+            self._fail(group, exc, tracer, retries=retries)
             return
-        stamped = [
-            result.with_metrics(
-                {
-                    "served.batched": 1.0,
-                    "served.degraded": 0.0,
-                    "served.wall_ms": float(wall_ms),
-                }
-            )
-            for result in results
-        ]
-        wrote = 0
-        for (key, _, _), result in zip(group, stamped):
-            wrote += self._store_put(key, result)
-        with self._lock:
-            evicted = 0
-            for (key, fut, _), result in zip(group, stamped):
-                evicted += self._cache.put(key, result)
-                self._drop_inflight(key, fut)
-            self._stats["evictions"] += evicted
-            self._stats["store_writes"] += wrote
-            if wrote:
-                self._count_tracer("store.writes", wrote)
-            if retries:
-                self._stats["retries"] += retries
-            if self._tracer is not None:
-                if evicted:
-                    self._count_tracer("serve.evictions", evicted)
-                if retries:
-                    self._count_tracer("serve.retries", retries)
-                self._tracer.merge(tracer.export())
-        for (_, fut, _), result in zip(group, stamped):
-            fut.set_result(result)
+        stamp = {
+            "served.batched": 1.0,
+            "served.degraded": 0.0,
+            "served.wall_ms": float(root.duration_ms),
+        }
+        self._succeed(
+            group, [result.with_metrics(stamp) for result in results], tracer,
+            retries=retries,
+        )
 
     def _solve_with_deadline(
         self,

@@ -481,19 +481,59 @@ class TestServiceSemantics:
         with pytest.raises(ServiceClosed):
             svc.submit(_req(jobs, k))
 
-    def test_tracer_collects_serve_counters_and_spans(self):
+    def test_tracer_collects_serve_counters_and_spans(self, tmp_path):
+        """Every ``ServiceStats`` counter equals its tracer counter after a
+        run that takes every completion path: a miss, a hit, a batched
+        group with a within-batch duplicate, a degraded answer and a store
+        hit."""
         from repro.obs.tracer import Tracer
 
-        jobs, k = _corpus(1)[0]
+        (jobs, k), (slow, _) = _corpus(2)
+        batch = [random_jobs(10, seed=70 + i) for i in range(2)]
+
+        release = threading.Event()
+        attempts = []
+
+        def slow_full(jobs_, k_, *, machines=1, method="auto", **kw):
+            if jobs_ is slow and method != "lsa":
+                attempts.append(threading.current_thread())
+                release.wait(timeout=30)
+            return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
+
         tracer = Tracer()
-        with SolverService(workers=1, tracer=tracer) as svc:
-            svc.solve(_req(jobs, k))
-            svc.solve(_req(jobs, k))
-        assert tracer.counters["serve.requests"] == 2
-        assert tracer.counters["serve.misses"] == 1
-        assert tracer.counters["serve.hits"] == 1
+        try:
+            with SolverService(
+                workers=1, cache_size=2, tracer=tracer, solve_fn=slow_full,
+                store_path=str(tmp_path / "store"),
+            ) as svc:
+                svc.solve(_req(jobs, k))
+                svc.solve(_req(jobs, k))
+                svc.solve_batch(
+                    [_req(batch[0], 1), _req(batch[0], 1), _req(batch[1], 1)]
+                )
+                assert svc.solve(_req(slow, k, deadline_ms=50)).degraded
+                svc.clear_cache()
+                assert svc.solve(_req(jobs, k)).metrics["served.store_hit"] == 1.0
+                stats = svc.stats()
+        finally:
+            release.set()
+            for thread in attempts:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in attempts)
+        for name in ("hits", "misses", "coalesced", "batched", "degraded",
+                     "evictions", "store_hits", "store_misses", "store_writes"):
+            assert stats[name] > 0, name
+        assert stats.requests == 7
+        for name in stats.as_dict():
+            if name in ("cache_size", "inflight"):
+                continue
+            if name.startswith("store_"):
+                counter = "store." + name[len("store_"):]
+            else:
+                counter = "serve." + name
+            assert tracer.counters.get(counter, 0) == stats[name], name
         roots = [s.name for s in tracer.roots]
-        assert "serve.request" in roots
+        assert "serve.request" in roots and "serve.batch" in roots
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +635,35 @@ class TestBatchSubmission:
             stats = svc.stats()
         assert calls == [4, 4]  # one retry of the whole group
         assert stats["retries"] == 1 and stats["errors"] == 4
+
+    def test_batch_honours_service_default_deadline(self):
+        """The service-wide ``deadline_ms`` applies to ``solve_batch`` as it
+        does to ``solve``: a slow full pipeline degrades on both paths.
+        (Regression: batch admission read only ``req.deadline_ms``, so a
+        batched request under a service default never degraded.)"""
+        jobs, k = _corpus(1)[0]
+        release = threading.Event()
+        attempts = []
+
+        def slow_full(jobs_, k_, *, machines=1, method="auto", **kw):
+            if method != "lsa":
+                attempts.append(threading.current_thread())
+                release.wait(timeout=30)
+            return solve_k_bounded(jobs_, k_, machines=machines, method=method, **kw)
+
+        try:
+            with SolverService(workers=1, deadline_ms=20, solve_fn=slow_full) as svc:
+                single = svc.solve(_req(jobs, k), timeout=30)
+                (batched,) = svc.solve_batch([_req(jobs, k)], timeout=30)
+                stats = svc.stats()
+        finally:
+            release.set()
+            for thread in attempts:  # leave no abandoned attempt running
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in attempts)
+        assert single.degraded and single.metrics["served.degraded"] == 1.0
+        assert batched.degraded and batched.metrics["served.degraded"] == 1.0
+        assert stats["degraded"] == 2 and stats["timeouts"] == 2
 
     def test_tracer_counts_batched_requests(self):
         from repro.obs.tracer import Tracer
