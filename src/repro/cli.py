@@ -5,10 +5,9 @@ Subcommands::
     repro-bench list                 # show the experiment registry
     repro-bench run e1 [--markdown]  # run one experiment, print its table
     repro-bench all [--markdown] [--workers N]  # the whole suite, optionally parallel
-    repro-bench bench [--quick]      # time the hot kernels, write BENCH_perf.json
+    repro-bench bench [--quick]      # time the hot kernels, check the perf gates
     repro-bench trace e4 [--jsonl f] # run traced, print the span tree
     repro-bench fuzz [--smoke]       # differential fuzzing across all oracle pairs
-    repro-bench serve-bench          # cached-vs-cold latency of the solver service
     repro-bench store verify DIR     # also: export/import/compact (durable store)
     repro-bench demo                 # 20-line end-to-end tour
 
@@ -249,88 +248,6 @@ def _cmd_fuzz(args) -> int:
             fault_cm.__exit__(None, None, None)
     print(report.summary())
     return 0 if report.ok else 1
-
-
-def _cmd_serve_bench(args) -> int:
-    """``repro serve-bench``: cached-vs-cold latency of the solver service.
-
-    Warms a :class:`~repro.serve.SolverService` on a seeded instance corpus
-    (the cold pass, one solve per unique request key), then fires
-    ``--requests`` randomized requests over the same corpus — all cache
-    hits — timing each round trip.  Prints p50/p95 for both phases plus the
-    service counters; ``--json`` writes the same payload for tooling, and
-    ``--min-speedup`` turns the p50 ratio into the exit status so CI can
-    gate on it.
-    """
-    import json
-    import random
-    import statistics
-    import time
-
-    from repro.instances import random_jobs
-    from repro.serve import SolverService
-
-    if args.requests < 1:
-        print("repro-bench serve-bench: error: --requests must be >= 1", file=sys.stderr)
-        return 2
-
-    from repro.api import SolveRequest
-
-    rng = random.Random(args.seed)
-    corpus = [random_jobs(args.n, seed=args.seed + i) for i in range(args.corpus)]
-    reqs = [
-        SolveRequest(jobs=jobs, k=rng.choice((1, 2)), deadline_ms=args.deadline_ms)
-        for jobs in corpus
-    ]
-
-    def timed_solve(svc: SolverService, i: int) -> float:
-        t0 = time.perf_counter()
-        svc.solve(reqs[i])
-        return (time.perf_counter() - t0) * 1e3
-
-    with SolverService(workers=args.workers, cache_size=args.cache_size) as svc:
-        cold_ms = [timed_solve(svc, i) for i in range(len(corpus))]
-        hit_ms = [timed_solve(svc, rng.randrange(len(corpus))) for _ in range(args.requests)]
-        stats = svc.stats()
-
-    def p(series: List[float], q: float) -> float:
-        ordered = sorted(series)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-    cold_p50 = statistics.median(cold_ms)
-    hit_p50 = statistics.median(hit_ms)
-    speedup = cold_p50 / hit_p50 if hit_p50 > 0 else float("inf")
-    payload = {
-        "requests": args.requests,
-        "corpus": len(corpus),
-        "seed": args.seed,
-        "cold_p50_ms": cold_p50,
-        "cold_p95_ms": p(cold_ms, 0.95),
-        "cached_p50_ms": hit_p50,
-        "cached_p95_ms": p(hit_ms, 0.95),
-        "p50_speedup": speedup,
-        "stats": stats.as_dict(),
-    }
-    print(f"corpus {len(corpus)} instances (n={args.n}), {args.requests} cached-phase requests")
-    print(f"cold   p50 {cold_p50:9.3f} ms   p95 {payload['cold_p95_ms']:9.3f} ms")
-    print(f"cached p50 {hit_p50:9.3f} ms   p95 {payload['cached_p95_ms']:9.3f} ms")
-    print(f"cached p50 speedup: {speedup:.1f}x")
-    print(
-        "service: "
-        + ", ".join(f"{name}={stats[name]}" for name in ("requests", "hits", "misses", "coalesced", "batched", "degraded", "evictions"))
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(
-            f"repro-bench serve-bench: cached p50 speedup {speedup:.1f}x "
-            f"below required {args.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _cmd_store(args) -> int:
@@ -583,23 +500,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="override the config's worker count (results are bit-identical)",
     )
     bench_p = sub.add_parser(
-        "bench", help="time the hot kernels and write a machine-readable trajectory"
+        "bench",
+        help="time the hot kernels, write a machine-readable trajectory and "
+        "check the perf gates (exit 1 if one fails)",
     )
     bench_p.add_argument(
-        "--quick", action="store_true", help="small sizes/repeats for CI smoke runs"
+        "--quick", action="store_true",
+        help="small sizes/repeats for the ungated measurements (CI smoke runs)",
     )
     bench_p.add_argument(
         "--out", default="BENCH_perf.json",
         help="output JSON path (default: BENCH_perf.json; '-' to skip writing)",
-    )
-    bench_p.add_argument(
-        "--min-sweep-speedup", type=float, default=None, metavar="X",
-        help="exit 1 unless the best parallel run_sweep speedup reaches X (CI gate)",
-    )
-    bench_p.add_argument(
-        "--max-prewarm-ratio", type=float, default=2.0, metavar="X",
-        help="exit 1 if prewarmed cold-start p50 exceeds X times warm-cache p50 "
-             "(default: 2.0, the ROADMAP store gate; 0 disables)",
     )
     trace_p = sub.add_parser(
         "trace", help="run an experiment (or 'demo') traced and print the span tree"
@@ -652,24 +563,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     fuzz_p.add_argument(
         "--inject-fault", default=None, metavar="NAME",
         help="arm a known fault for the run (test-only; proves the engine fires)",
-    )
-    serve_p = sub.add_parser(
-        "serve-bench", help="measure cached-vs-cold latency of the solver service"
-    )
-    serve_p.add_argument("--requests", type=int, default=500, help="cached-phase requests")
-    serve_p.add_argument("--seed", type=int, default=7, help="corpus + arrival-order seed")
-    serve_p.add_argument("--corpus", type=int, default=20, help="distinct instances")
-    serve_p.add_argument("--n", type=int, default=12, help="jobs per instance")
-    serve_p.add_argument("--workers", type=int, default=4, help="service worker threads")
-    serve_p.add_argument("--cache-size", type=int, default=256, help="LRU capacity")
-    serve_p.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="per-request degradation budget (default: none)",
-    )
-    serve_p.add_argument("--json", default=None, metavar="PATH", help="also write JSON payload")
-    serve_p.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="exit 1 unless cached p50 is this many times below cold p50",
     )
     gateway_p = sub.add_parser(
         "gateway-bench", help="open-loop load against a sharded gateway fleet"
@@ -759,67 +652,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "bench":
         from repro.analysis.perf import render_bench, run_bench
 
-        payload = run_bench(quick=args.quick, out=None if args.out == "-" else args.out)
-        print(render_bench(payload))
+        payload, gates = run_bench(quick=args.quick, out=None if args.out == "-" else args.out)
+        print(render_bench(payload, gates))
         if args.out != "-":
             print(f"wrote {args.out}")
-        if args.min_sweep_speedup is not None:
-            speedups = [
-                rec["speedup_vs_reference"]
-                for rec in payload["records"]
-                if rec["op"].startswith("run_sweep[workers=")
-                and rec["speedup_vs_reference"] is not None
-            ]
-            if not speedups:
-                print(
-                    "repro-bench bench: no parallel run_sweep record to gate on",
-                    file=sys.stderr,
-                )
-                return 1
-            best = max(speedups)
-            if best < args.min_sweep_speedup:
-                print(
-                    f"repro-bench bench: parallel run_sweep speedup {best:.2f}x "
-                    f"below required {args.min_sweep_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"sweep speedup gate: {best:.2f}x >= {args.min_sweep_speedup:.2f}x")
-        if args.max_prewarm_ratio:
-            by_op = {rec["op"]: rec for rec in payload["records"]}
-            warm = by_op.get("serve.store[warm-cache]")
-            prewarmed = by_op.get("serve.store[prewarmed-cold-start]")
-            if warm is None or prewarmed is None:
-                print(
-                    "repro-bench bench: no store prewarm records to gate on",
-                    file=sys.stderr,
-                )
-                return 1
-            # Both phases are memory-LRU hits at ~tens of µs, so a pure
-            # ratio gate would amplify scheduler noise; the small absolute
-            # floor keeps the 2x contract meaningful without flakiness.
-            bound = args.max_prewarm_ratio * warm["median_ms"] + 0.25
-            if prewarmed["median_ms"] > bound:
-                print(
-                    f"repro-bench bench: prewarmed cold-start p50 "
-                    f"{prewarmed['median_ms']:.3f} ms exceeds "
-                    f"{args.max_prewarm_ratio:.1f}x warm-cache p50 "
-                    f"({warm['median_ms']:.3f} ms)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(
-                f"store prewarm gate: cold-start p50 {prewarmed['median_ms']:.3f} ms "
-                f"within {args.max_prewarm_ratio:.1f}x of warm p50 "
-                f"{warm['median_ms']:.3f} ms"
-            )
-        return 0
+        return 1 if any(g.status == "fail" for g in gates) else 0
     if args.command == "trace":
         return _cmd_trace(args.name, args.jsonl, args.max_depth)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     if args.command == "gateway-bench":
         return _cmd_gateway_bench(args)
     if args.command == "store":

@@ -99,50 +99,6 @@ class TestFuzzErrorPaths:
         assert "served-vs-direct" in out
 
 
-class TestServeBench:
-    def test_serve_bench_reports_speedup(self, capsys, tmp_path):
-        out = tmp_path / "serve.json"
-        assert (
-            main(
-                [
-                    "serve-bench", "--requests", "60", "--seed", "7",
-                    "--corpus", "6", "--n", "8", "--json", str(out),
-                ]
-            )
-            == 0
-        )
-        text = capsys.readouterr().out
-        assert "cached p50 speedup" in text
-        # The summary line reports every service counter, batched included.
-        assert "batched=" in text
-        import json
-
-        payload = json.loads(out.read_text())
-        assert payload["requests"] == 60
-        assert payload["stats"]["hits"] == 60
-        assert "batched" in payload["stats"]
-        assert payload["cached_p50_ms"] > 0
-        assert payload["p50_speedup"] > 1
-
-    def test_serve_bench_min_speedup_gate(self, capsys):
-        # An impossible gate must flip the exit code, not crash.
-        assert (
-            main(
-                [
-                    "serve-bench", "--requests", "20", "--corpus", "4",
-                    "--n", "6", "--min-speedup", "1e9",
-                ]
-            )
-            == 1
-        )
-        err = capsys.readouterr().err
-        assert "below required" in err
-
-    def test_serve_bench_rejects_bad_requests(self, capsys):
-        assert main(["serve-bench", "--requests", "0"]) == 2
-        assert "--requests" in capsys.readouterr().err
-
-
 class TestGatewayBench:
     def test_gateway_bench_inline_reports_and_writes_json(self, capsys, tmp_path):
         out = tmp_path / "gateway.json"
